@@ -32,8 +32,7 @@ even be inherited).  Each worker diverts its :mod:`repro.obs.log` records
 into a buffer (:func:`repro.obs.log.set_capture`) and ships the drained
 buffer with every protocol reply; the parent replays them through its own
 logger, tagged ``worker=<index> shards=<start>:<stop>``.  Replies are
-``(status, payload, logs)`` triples — the parent also accepts legacy
-2-tuples so a mixed-version pipe fails soft.
+``(status, payload, logs)`` triples.
 """
 
 from __future__ import annotations
@@ -219,8 +218,8 @@ class ShardedRunner:
                 message = conn.recv()
             except (EOFError, OSError) as exc:
                 raise self._worker_died(exc)
-            status, payload = message[0], message[1]
-            self._replay_logs(index, message[2] if len(message) > 2 else [])
+            status, payload, logs = message
+            self._replay_logs(index, logs)
             if status != "ok":
                 self.close()
                 raise ShardWorkerError(f"shard worker failed:\n{payload}")

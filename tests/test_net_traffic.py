@@ -1,11 +1,16 @@
 """Unit tests for the traffic generators."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.addressing import AddressPlan
 from repro.net.traffic import (
     META_TRACES,
     ConstantRateGenerator,
+    LogNormalSpec,
     LogNormalTraceGenerator,
     PoissonGenerator,
     TrafficSpec,
@@ -95,8 +100,6 @@ class TestTrafficSpec:
 
 class TestLogNormal:
     def test_fit_scale_hits_target(self):
-        import math
-
         rng = RngRegistry(3)
         spec = META_TRACES["web"]
         scale = fit_lognormal_scale(spec, rng, samples=2000)
@@ -156,3 +159,57 @@ class TestLogNormal:
             LogNormalTraceGenerator(
                 PLAN, TrafficSpec(), RngRegistry(1), META_TRACES["web"], interval_s=0
             )
+
+
+def reference_fit_lognormal_scale(spec, rng, line_rate_gbps=100.0, samples=4096):
+    """The fit as first written: always 200 bisection steps, per-element
+    ``min``. ``fit_lognormal_scale`` must match it bit for bit."""
+    if not 0 < spec.average_gbps < line_rate_gbps:
+        raise ValueError("target average must be within (0, line_rate)")
+    stream = rng.stream(f"lognormal-fit-{spec.name}")
+    draws = [math.exp(spec.mu + spec.sigma * stream.gauss(0.0, 1.0)) for _ in range(samples)]
+
+    def clipped_mean(scale: float) -> float:
+        return sum(min(scale * d, line_rate_gbps) for d in draws) / len(draws)
+
+    lo, hi = 1e-12, 1e12
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if clipped_mean(mid) < spec.average_gbps:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
+def assert_fit_matches_reference(spec, seed, line_rate_gbps, samples):
+    fast_rng, ref_rng = RngRegistry(seed), RngRegistry(seed)
+    fast = fit_lognormal_scale(spec, fast_rng, line_rate_gbps, samples)
+    ref = reference_fit_lognormal_scale(spec, ref_rng, line_rate_gbps, samples)
+    assert fast.hex() == ref.hex()
+    assert fast_rng.state_dict() == ref_rng.state_dict()
+
+
+class TestFitIdentity:
+    """The early-exit, list-clip fit is the 200-step fit, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [2024, 99])
+    @pytest.mark.parametrize("name", sorted(META_TRACES))
+    def test_meta_traces_at_pinned_seeds(self, name, seed):
+        assert_fit_matches_reference(META_TRACES[name], seed, 100.0, 4096)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(META_TRACES)),
+        # (0.2, 1.3] of the largest Meta average stays below both line rates
+        weight=st.floats(0.2, 1.3, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+        line_rate_gbps=st.sampled_from([100.0, 40.0]),
+        samples=st.integers(256, 4096),
+    )
+    def test_generated_inputs(self, name, weight, seed, line_rate_gbps, samples):
+        base = META_TRACES[name]
+        spec = LogNormalSpec(
+            base.name, base.mu, base.sigma, base.average_gbps * weight
+        )
+        assert_fit_matches_reference(spec, seed, line_rate_gbps, samples)
