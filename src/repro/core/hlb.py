@@ -69,6 +69,7 @@ class TrafficMonitor:
         self._stop = sim.every(window_s, self._roll_window)
 
     def observe(self, packet: Packet) -> None:
+        # HardwareLoadBalancer.ingress inlines this per arrival
         nbytes = packet.size_bytes * packet.multiplicity
         self.received_bytes += nbytes
         self.total_bytes += nbytes
@@ -115,10 +116,9 @@ class TrafficDirector:
             raise ValueError("bucket depth must be positive")
         self.sim = sim
         self.plan = plan
-        self._fwd_threshold_gbps = fwd_threshold_gbps
         self.bucket_depth_s = bucket_depth_s
-        self._tokens_bits = 0.0
-        self._tokens_bits = self._bucket_capacity_bits()  # start full
+        self._write_threshold(fwd_threshold_gbps)
+        self._tokens_bits = self._bucket_bits  # start full
         self._last_refill = sim.now
         self.stats = DirectorStats()
         # warm the memoized RFC 1624 delta for the one rewrite this block
@@ -135,8 +135,14 @@ class TrafficDirector:
         if gbps < 0:
             raise ValueError("threshold cannot be negative")
         self._refill()
+        self._write_threshold(gbps)
+        self._tokens_bits = min(self._tokens_bits, self._bucket_bits)
+
+    def _write_threshold(self, gbps: float) -> None:
+        """Store ``Fwd_Th`` and the bucket capacity derived from it (the
+        refill on every packet reads the cached capacity)."""
         self._fwd_threshold_gbps = gbps
-        self._tokens_bits = min(self._tokens_bits, self._bucket_capacity_bits())
+        self._bucket_bits = self._bucket_capacity_bits()
 
     #: minimum bucket depth: one maximum-size event burst (32 MTU packets),
     #: so low thresholds still trickle packets to the SNIC instead of
@@ -150,11 +156,11 @@ class TrafficDirector:
         )
 
     def _refill(self) -> None:
-        now = self.sim.now
+        now = self.sim._now
         elapsed = now - self._last_refill
         if elapsed > 0:
             self._tokens_bits = min(
-                self._bucket_capacity_bits(),
+                self._bucket_bits,
                 self._tokens_bits + self._fwd_threshold_gbps * 1e9 * elapsed,
             )
             self._last_refill = now
@@ -225,7 +231,11 @@ class HardwareLoadBalancer:
         # charging the fixed datapath cost by back-dating creation keeps
         # the event count flat while preserving measured latency
         packet.created_at -= self.datapath_latency_s
-        self.monitor.observe(packet)
+        # TrafficMonitor.observe, inlined (once per arrival)
+        monitor = self.monitor
+        nbytes = packet.size_bytes * packet.multiplicity
+        monitor.received_bytes += nbytes
+        monitor.total_bytes += nbytes
         return self.director.direct(packet)
 
     def egress(self, packet: Packet) -> Packet:

@@ -35,7 +35,10 @@ from repro.sim.metrics import LatencyReservoir, RunMetrics
 @dataclass
 class PacketRing:
     """A bounded Rx ring accounted in *packets* (batched events carry
-    ``multiplicity`` packets each, as a real descriptor ring would)."""
+    ``multiplicity`` packets each, as a real descriptor ring would).
+
+    :class:`ProcessingEngine` inlines :meth:`push` and :meth:`pop` on its
+    per-packet path; keep the three in step."""
 
     capacity_packets: int
     items: Deque[Packet] = field(default_factory=deque)
@@ -113,6 +116,7 @@ class ProcessingEngine:
         if dispatch not in ("roundrobin", "flow"):
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
         self.dispatch = dispatch
+        self._roundrobin = dispatch == "roundrobin"
         self._dispatch_counter = 0
         # mean-preserving uniform service-time jitter: software stages
         # (rx_burst loops) are bursty, hardware pipelines are not
@@ -145,6 +149,14 @@ class ProcessingEngine:
         self._overload_ramp_s = costs.overload_latency_s
         self._service_cv_sq = costs.service_cv_sq
         self._capacity_gbps = costs.capacity_gbps
+        # whether _overload_latency_s can ever be non-zero (its own guards,
+        # hoisted): completions on engines that cannot overload skip it
+        knee = profile.slo_knee_gbps
+        self._can_overload = (
+            knee is not None
+            and self._overload_ramp_s > 0
+            and self._capacity_gbps > knee
+        )
         # the forward-stage back-dating charge, summed exactly as the hot
         # path's parenthesized (base + delivery) expression did
         self._forward_charge_s = costs.base_latency_s + delivery_latency_s
@@ -229,17 +241,22 @@ class ProcessingEngine:
         """Packet delivered to this engine's Rx rings (RSS by flow)."""
         multiplicity = packet.multiplicity
         self.received_packets += multiplicity
-        if self.dispatch == "roundrobin":
+        if self._roundrobin:
             core = self._dispatch_counter % self.active_cores
             self._dispatch_counter += 1
         else:
             core = packet.flow_id % self.active_cores
+        # PacketRing.push, inlined (once per arrival)
         ring = self._rings[core]
-        if not ring.push(packet):
+        if ring.occupancy_packets + multiplicity > ring.capacity_packets:
+            ring.dropped_packets += multiplicity
             self.dropped_packets += multiplicity
             if self.metrics is not None:
                 self.metrics.dropped_packets += multiplicity
             return
+        ring.items.append(packet)
+        ring.occupancy_packets += multiplicity
+        ring.enqueued_packets += multiplicity
         if self.sleeping:
             self._begin_wake()
             return
@@ -263,9 +280,12 @@ class ProcessingEngine:
         self.sim.schedule(self.wake_latency_s, wake)
 
     def _start_service(self, core: int) -> None:
-        packet = self._rings[core].pop()
-        if packet is None:
+        # PacketRing.pop, inlined (once per service)
+        ring = self._rings[core]
+        if not ring.items:
             return
+        packet = ring.items.popleft()
+        ring.occupancy_packets -= packet.multiplicity
         if not self._core_busy[core]:
             self._core_busy[core] = True
             self._busy_count += 1
@@ -291,7 +311,7 @@ class ProcessingEngine:
             )
         if self.state_domain is not None:
             service_s += self._coherence_stall(packet)
-        self.sim.schedule(service_s, self._finish_service, core, packet)
+        self.sim.post(service_s, self._finish_service, core, packet)
 
     def _coherence_stall(self, packet: Packet) -> float:
         if self.state_domain is None:
@@ -300,14 +320,6 @@ class ProcessingEngine:
         # cores batch state updates across a burst (the paper measures only
         # 0.3-3% throughput/latency impact from NUMA-shared state, §VII-B)
         return self.state_domain.access(self.state_agent, packet.flow_id, write=True)
-
-    def _update_rate_ewma(self, wire_bits: int) -> None:
-        now = self.sim._now
-        dt = now - self._rate_last_t
-        if dt > 0:
-            self._rate_bps_ewma *= math.exp(-dt / self._rate_tau_s)
-            self._rate_last_t = now
-        self._rate_bps_ewma += wire_bits / self._rate_tau_s
 
     def _overload_latency_s(self) -> float:
         knee = self.profile.slo_knee_gbps
@@ -326,7 +338,13 @@ class ProcessingEngine:
         wire_bits = packet.size_bytes * 8 * multiplicity
         self.delivered_packets += multiplicity
         self.delivered_bits += wire_bits
-        self._update_rate_ewma(wire_bits)
+        # delivered-rate EWMA update
+        now = self.sim._now
+        dt = now - self._rate_last_t
+        if dt > 0:
+            self._rate_bps_ewma *= math.exp(-dt / self._rate_tau_s)
+            self._rate_last_t = now
+        self._rate_bps_ewma += wire_bits / self._rate_tau_s
         if self.forward_stage:
             # mid-path hop: charge its delivery latency by back-dating the
             # packet and hand the original packet to the next stage
@@ -334,12 +352,12 @@ class ProcessingEngine:
             if self.on_complete is not None:
                 self.on_complete(packet)
         else:
-            overload_s = self._overload_latency_s()
+            overload_s = self._overload_latency_s() if self._can_overload else 0.0
             if overload_s > 0:
                 # overload deepens the pipeline: completion is delayed and
                 # the packet keeps occupying the observable input backlog
                 self._in_pipeline[core] += multiplicity
-                self.sim.schedule(overload_s, self._deliver, core, packet, True)
+                self.sim.post(overload_s, self._deliver, core, packet, True)
             else:
                 self._deliver(core, packet, False)
         if self._rings[core].items:
@@ -384,7 +402,8 @@ class ProcessingEngine:
             metrics.delivered_packets += multiplicity
             metrics.delivered_bytes += packet.size_bytes * multiplicity
             metrics.latency.record(latency)
-        self._maybe_run_function(packet)
+        if self.nf is not None:
+            self._maybe_run_function(packet)
         if self.on_complete is not None:
             self.on_complete(packet.make_response())
 

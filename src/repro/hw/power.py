@@ -125,18 +125,6 @@ class PowerModel:
         engine.on_power_change = changed
         changed(engine)
 
-    def _engine_changed(self, engine: ProcessingEngine) -> None:
-        """Recompute one tracked engine's power level (slow path; the
-        per-transition callback installed by :meth:`track` is the fast
-        path with identical arithmetic)."""
-        role = self._roles.get(engine.name)
-        if role is None:
-            return
-        watts = engine.profile.dynamic_power_w * engine.utilization
-        if role == ROLE_HOST and not engine.sleeping:
-            watts += self.config.host_poll_w_per_core * engine.active_cores
-        self.integrator.set_level(engine.name, watts, self.sim.now)
-
     def set_constant(self, component: str, watts: float) -> None:
         """Add a fixed draw (e.g. the HLB FPGA datapath)."""
         self.integrator.set_level(component, watts, self.sim.now)

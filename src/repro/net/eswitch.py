@@ -31,10 +31,6 @@ class PortStats:
     packets: int = 0
     bytes: int = 0
 
-    def record(self, packet: Packet) -> None:
-        self.packets += packet.multiplicity
-        self.bytes += packet.size_bytes * packet.multiplicity
-
 
 class EmbeddedSwitch:
     """Destination-based forwarding with an optional default port."""
@@ -77,11 +73,18 @@ class EmbeddedSwitch:
 
     def forward(self, packet: Packet) -> bool:
         """Forward one packet; returns False if no rule matched."""
-        port = self.lookup(packet)
+        # lookup() and the port counters, inlined (once per packet)
+        dst = packet.dst
+        port = self._rules.get((dst.mac, dst.ip))
         if port is None:
-            self.unmatched_drops += packet.multiplicity
-            return False
-        self.stats[port].record(packet)
+            port = self.default_port
+            if port is None:
+                self.unmatched_drops += packet.multiplicity
+                return False
+        stats = self.stats[port]
+        multiplicity = packet.multiplicity
+        stats.packets += multiplicity
+        stats.bytes += packet.size_bytes * multiplicity
         self._ports[port](packet)
         return True
 

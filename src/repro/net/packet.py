@@ -278,13 +278,17 @@ class Packet:
         response never aliases the request's dict either way.
         """
         meta = self._meta
+        # positional: one response per delivered request
         return Packet(
-            src=self.dst,
-            dst=self.src,
-            size_bytes=size_bytes if size_bytes is not None else self.size_bytes,
-            payload=payload,
-            flow_id=self.flow_id,
-            created_at=self.created_at,
-            multiplicity=self.multiplicity,
-            meta=dict(meta) if meta else None,
+            self.dst,
+            self.src,
+            size_bytes if size_bytes is not None else self.size_bytes,
+            payload,
+            self.flow_id,
+            -1,
+            None,
+            self.created_at,
+            self.multiplicity,
+            None,
+            dict(meta) if meta else None,
         )

@@ -102,22 +102,27 @@ class PacketGenerator:
         self.tracer = None
 
     def _make_packet(self, now: float) -> Packet:
+        spec = self.spec
         self._seq += 1
-        if self.spec.flow_mode == "roundrobin":
-            flow = self._seq % self.spec.flow_count
+        if spec.flow_mode == "roundrobin":
+            flow = self._seq % spec.flow_count
         else:
-            flow = self._rng.randrange(self.spec.flow_count)
+            flow = self._rng.randrange(spec.flow_count)
         payload = None
-        if self.spec.payload_factory is not None:
-            payload = self.spec.payload_factory(self._seq, flow)
+        if spec.payload_factory is not None:
+            payload = spec.payload_factory(self._seq, flow)
+        # positional (src, dst, size, payload, flow, checksum, id, created,
+        # multiplicity): this runs once per arrival
         packet = Packet(
-            src=self.plan.client,
-            dst=self.plan.snic,
-            size_bytes=self.spec.packet_bytes,
-            payload=payload,
-            flow_id=flow,
-            created_at=now,
-            multiplicity=self.spec.batch,
+            self.plan.client,
+            self.plan.snic,
+            spec.packet_bytes,
+            payload,
+            flow,
+            -1,
+            None,
+            now,
+            spec.batch,
         )
         self.generated_packets += packet.multiplicity
         self.generated_bytes += packet.size_bytes * packet.multiplicity

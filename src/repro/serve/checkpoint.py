@@ -85,6 +85,9 @@ class ResumableOutcome:
     #: epochs fully completed for the paused system (resume starts here)
     paused_epoch: Optional[int] = None
     checkpoint_sha256: Optional[str] = None
+    #: per-system ``FabricResult`` payload dicts finished so far (run by
+    #: this invocation or replayed from the checkpoint)
+    completed: Dict[str, Any] = field(default_factory=dict)
     #: per-system runner step wall-clock (never part of any payload)
     wall_s: Dict[str, float] = field(default_factory=dict)
 
@@ -120,7 +123,7 @@ def run_resumable(
     if resume_body is not None:
         completed = dict(resume_body.get("completed", {}))
         in_progress = resume_body.get("in_progress")
-    outcome = ResumableOutcome()
+    outcome = ResumableOutcome(completed=completed)
     result = focused_result(
         params.racks, params.servers, params.dispatch, params.mix,
         params.model_hours,
@@ -206,11 +209,25 @@ def run_resumable(
     return outcome
 
 
+def write_finished_checkpoint(
+    path: str,
+    run_config: RunConfig,
+    params: FabricJobParams,
+    completed: Dict[str, Any],
+) -> str:
+    """Checkpoint a run whose every system finished (a pause that landed
+    after the last barrier); resuming replays the stored payloads.
+    Returns the checkpoint's sha256."""
+    return write_checkpoint(
+        path, EXPERIMENT_KIND, _checkpoint_body(run_config, params, completed, None)
+    )
+
+
 def _checkpoint_body(
     run_config: RunConfig,
     params: FabricJobParams,
     completed: Dict[str, Any],
-    in_progress: Dict[str, Any],
+    in_progress: Optional[Dict[str, Any]],
 ) -> Dict[str, Any]:
     return {
         "run_config": asdict(run_config),

@@ -64,6 +64,7 @@ from repro.serve.checkpoint import (
     FabricJobParams,
     load_checkpoint_job,
     run_resumable,
+    write_finished_checkpoint,
 )
 from repro.serve.snapshot import read_checkpoint
 
@@ -172,7 +173,10 @@ class ServeDaemon:
         return os.path.join(self.state_dir, name)
 
     def _write_state(self, name: str, data: Any) -> None:
-        tmp = self._path(name + ".tmp")
+        # a temp name per writer: the job thread of a daemon being replaced
+        # can still persist while its successor recovers the same state
+        # dir, and two writers sharing one temp path lose a rename
+        tmp = self._path(f"{name}.{os.getpid()}.{threading.get_ident()}.tmp")
         with open(tmp, "w") as fh:
             json.dump(data, fh, indent=1)
         os.replace(tmp, self._path(name))
@@ -384,6 +388,15 @@ class ServeDaemon:
                     f"checkpointed mid-{outcome.paused_system} at epoch "
                     f"{outcome.paused_epoch}"
                 )
+            elif control.cancel and job.checkpoint:
+                # the cancel was accepted after the run's last barrier
+                # poll: honour it with a checkpoint of the finished
+                # systems, which a resume replays without simulating
+                job.status = "cancelled"
+                job.checkpoint_sha256 = write_finished_checkpoint(
+                    job.checkpoint, run_config, params, outcome.completed
+                )
+                job.detail = "cancelled after its last barrier"
             else:
                 assert outcome.result is not None
                 job.status = "done"

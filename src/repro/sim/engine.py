@@ -10,19 +10,37 @@ ample for the microsecond-scale latencies the paper measures.
 
 Event representation
 --------------------
-Events are plain lists ``[time, priority, seq, callback, args, status]``
-rather than objects: heap comparisons stop at the unique ``seq`` (so the
-callback is never compared), pushes allocate one small list, and the
-``run()`` loop indexes slots directly instead of chasing attributes.
+Events are plain lists ``[time, priority, seq, callback, args, status,
+next]`` rather than objects: heap comparisons stop at the unique ``seq``
+(so the callback is never compared), pushes allocate one small list, and
+the ``run()`` loop indexes slots directly instead of chasing attributes.
 ``status`` is one of the ``_PENDING``/``_CANCELLED``/``_POPPED``
 module constants; cancellation flips it in place, and the heap compacts
 cancelled entries lazily once they outnumber the live ones.
+
+Batched arrivals
+----------------
+``schedule_batch`` chains a pre-computed arrival train through the
+``next`` slot and pushes only its first member; popping a member pushes
+its follower before the callback runs.  A follower's ``(time, priority,
+seq)`` key is greater than its predecessor's (times ascend, seqs
+increase, the priority is shared), so every deferred member is greater
+than an event already in the heap and the heap still pops the global
+minimum of all pending events: pop order is exactly as if each member
+had been pushed up front.  The heap stays at the size of the *live*
+event set instead of growing by whole trains, and ``pending()`` stays
+exact as ``len(heap) - cancelled + deferred``.
 """
 
 from __future__ import annotations
 
 import itertools
-from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
+from heapq import (
+    heapify as _heapify,
+    heappop as _heappop,
+    heappush as _heappush,
+    heapreplace as _heapreplace,
+)
 from typing import Any, Callable, Dict, Iterable, List, Optional, cast
 
 # event slot indices
@@ -32,6 +50,7 @@ _SEQ = 2
 _CALLBACK = 3
 _ARGS = 4
 _STATUS = 5
+_NEXT = 6
 
 # event status values
 _PENDING = 0
@@ -86,8 +105,10 @@ class EventHandle:
 class BatchHandle:
     """Handle to a batch of events scheduled with :meth:`Simulator.schedule_batch`.
 
-    Cancelling the batch cancels every member that has not fired yet (one
-    counter update + at most one heap compaction, however many remain).
+    Cancelling the batch cancels every member that has not fired yet and
+    cuts the chain: the first pending member is the one in the heap (an
+    in-heap cancel), the rest were never pushed (deferred).  One counter
+    update each and at most one heap compaction, however many remain.
     """
 
     __slots__ = ("_events", "_sim")
@@ -109,10 +130,12 @@ class BatchHandle:
         for event in self._events:
             if event[_STATUS] == _PENDING:
                 event[_STATUS] = _CANCELLED
-                event[_CALLBACK] = event[_ARGS] = None
+                event[_CALLBACK] = event[_ARGS] = event[_NEXT] = None
                 cancelled += 1
         if cancelled:
-            self._sim._note_cancelled(cancelled)
+            sim = self._sim
+            sim._deferred -= cancelled - 1
+            sim._note_cancelled(1)
 
 
 class RecurrenceHandle:
@@ -183,6 +206,8 @@ class Simulator:
         self._running = False
         self._events_processed = 0
         self._cancelled_in_heap = 0
+        # batch members chained behind an in-heap member (see _NEXT)
+        self._deferred = 0
         # observability hook (repro.obs): None in untraced runs, so the
         # run() loop is untouched and only rare kernel-internal moments
         # (heap compaction) pay an is-not-None branch; typed Any rather
@@ -233,9 +258,27 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         when = self._now + delay
-        event = [when, priority, next(self._seq), callback, args, _PENDING]
+        event = [when, priority, next(self._seq), callback, args, _PENDING, None]
         _heappush(self._heap, event)
         return EventHandle(event, self)
+
+    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """:meth:`schedule` at normal priority without building a handle,
+        for hot-path events nobody cancels."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        _heappush(
+            self._heap,
+            [
+                self._now + delay,
+                self.PRIORITY_NORMAL,
+                next(self._seq),
+                callback,
+                args,
+                _PENDING,
+                None,
+            ],
+        )
 
     def schedule_at(
         self,
@@ -249,7 +292,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
-        event = [when, priority, next(self._seq), callback, args, _PENDING]
+        event = [when, priority, next(self._seq), callback, args, _PENDING, None]
         _heappush(self._heap, event)
         return EventHandle(event, self)
 
@@ -264,15 +307,16 @@ class Simulator:
 
         ``times`` must be ascending and not in the past. This is the bulk
         counterpart of :meth:`schedule_at` for pre-computed arrival trains:
-        large batches are appended and re-heapified in one O(n + m) pass
-        instead of m individual O(log n) sifts. Event identity (seq order,
-        priority semantics) is exactly as if :meth:`schedule_at` had been
-        called once per time, so pop order is unchanged.
+        the members are chained through their ``next`` slot and only the
+        first is pushed; each pop pushes its follower (see the module
+        docstring). Seqs are drawn up front, so event identity (seq order,
+        priority semantics) and pop order are exactly as if
+        :meth:`schedule_at` had been called once per time.
         """
-        heap = self._heap
         seq = self._seq
         prev = self._now
         events: List[List[Any]] = []
+        follower: Optional[List[Any]] = None
         for when in times:
             if when < prev:
                 raise SimulationError(
@@ -280,16 +324,14 @@ class Simulator:
                     f"past (got {when} after {prev})"
                 )
             prev = when
-            events.append([when, priority, next(seq), callback, args, _PENDING])
+            event = [when, priority, next(seq), callback, args, _PENDING, None]
+            if follower is not None:
+                follower[_NEXT] = event
+            follower = event
+            events.append(event)
         if events:
-            # a heapify rebuild costs O(n + m); m pushes cost O(m log n).
-            # Rebuild when the batch is big relative to the live heap.
-            if len(events) * 4 >= len(heap):
-                heap.extend(events)
-                _heapify(heap)
-            else:
-                for event in events:
-                    _heappush(heap, event)
+            _heappush(self._heap, events[0])
+            self._deferred += len(events) - 1
         return BatchHandle(events, self)
 
     def every(
@@ -337,6 +379,7 @@ class Simulator:
         # through .now) is written back per event
         heap = self._heap
         pop = _heappop
+        replace = _heapreplace
         executed = 0
         budget = float("inf") if max_events is None else max_events
         hit_budget = False
@@ -349,7 +392,14 @@ class Simulator:
                 when = event[_TIME]
                 if until is not None and when > until:
                     break
-                pop(heap)
+                # a batch member hands its heap slot to its follower
+                # (cancelled members carry no follower: cancel cut it)
+                follower = event[_NEXT]
+                if follower is None:
+                    pop(heap)
+                else:
+                    replace(heap, follower)
+                    self._deferred -= 1
                 status = event[_STATUS]
                 event[_STATUS] = _POPPED
                 if status == _CANCELLED:
@@ -370,8 +420,14 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute exactly one pending event. Returns False if none remain."""
-        while self._heap:
-            event = _heappop(self._heap)
+        heap = self._heap
+        while heap:
+            follower = heap[0][_NEXT]
+            if follower is None:
+                event = _heappop(heap)
+            else:
+                event = _heapreplace(heap, follower)
+                self._deferred -= 1
             status = event[_STATUS]
             event[_STATUS] = _POPPED
             if status == _CANCELLED:
@@ -393,7 +449,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of scheduled, not-yet-cancelled events."""
-        return len(self._heap) - self._cancelled_in_heap
+        return len(self._heap) - self._cancelled_in_heap + self._deferred
 
     # -- checkpoint/restore primitives ----------------------------------
     #
@@ -414,13 +470,23 @@ class Simulator:
 
         Checkpoint-restore preamble: a freshly built component tree has
         construction-time timers in the heap that the restore re-arms
-        with snapshot phases instead.
+        with snapshot phases instead.  Every dropped event (deferred batch
+        members included) is marked cancelled, so cancelling it later
+        through a stale handle is a no-op.
         """
         if self._running:
             raise SimulationError("cannot clear events while running")
         live = self.pending()
+        for head in self._heap:
+            event: Optional[List[Any]] = head
+            while event is not None:
+                follower = event[_NEXT]
+                event[_STATUS] = _CANCELLED
+                event[_CALLBACK] = event[_ARGS] = event[_NEXT] = None
+                event = follower
         self._heap = []
         self._cancelled_in_heap = 0
+        self._deferred = 0
         return live
 
     def restore_clock(self, now: float, events_processed: int = 0) -> None:

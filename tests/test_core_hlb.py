@@ -117,6 +117,15 @@ class TestTrafficDirector:
         with pytest.raises(ValueError):
             director.set_threshold(-1.0)
 
+    def test_bucket_capacity_cache_follows_threshold(self):
+        sim = Simulator()
+        director = TrafficDirector(sim, PLAN, fwd_threshold_gbps=50.0)
+        assert director._bucket_bits == director._bucket_capacity_bits()
+        for gbps in (0.1, 30.0, 0.0):
+            director.set_threshold(gbps)
+            assert director._bucket_bits == director._bucket_capacity_bits()
+            assert director._tokens_bits <= director._bucket_bits
+
     def test_bucket_refills_over_time(self):
         sim = Simulator()
         director = TrafficDirector(sim, PLAN, fwd_threshold_gbps=1.0, bucket_depth_s=50e-6)

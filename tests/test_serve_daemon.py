@@ -19,6 +19,7 @@ from repro.exp.server import RunConfig
 from repro.runner.sharded import DrainSignal
 from repro.serve.checkpoint import FabricJobParams, run_resumable
 from repro.serve.client import ServeClient, ServeError, connect, read_daemon_info
+from repro.serve import daemon as daemon_module
 from repro.serve.daemon import ServeDaemon
 
 RUN_CONFIG = {"duration_s": 0.1}
@@ -69,6 +70,37 @@ def wait_for_progress(client, job_id, epoch=2, timeout=60.0):
             return job
         time.sleep(0.01)
     raise AssertionError(f"job {job_id} made no progress in {timeout}s")
+
+
+class TestStatePersistence:
+    def test_interleaved_writers_on_one_state_dir(self, tmp_path, monkeypatch):
+        """A replaced daemon's job thread may persist while its successor
+        recovers: a write interleaved with another writer's must still
+        land (no shared temp file to lose to the other's rename)."""
+        state_dir = str(tmp_path / "state")
+        first = ServeDaemon(state_dir=state_dir)
+        second = ServeDaemon(state_dir=state_dir)
+        real_dump = json.dump
+
+        def dump_then_interleave(data, fh, **kwargs):
+            real_dump(data, fh, **kwargs)
+            monkeypatch.setattr(json, "dump", real_dump)
+            writer = threading.Thread(
+                target=second._write_state,
+                args=("jobs.json", {"next_id": 2, "jobs": []}),
+            )
+            writer.start()
+            writer.join()
+
+        try:
+            monkeypatch.setattr(json, "dump", dump_then_interleave)
+            first._write_state("jobs.json", {"next_id": 1, "jobs": []})
+        finally:
+            first.close()
+            second.close()
+        with open(os.path.join(state_dir, "jobs.json")) as fh:
+            assert json.load(fh)["next_id"] == 1  # the last rename wins
+        assert not [n for n in os.listdir(state_dir) if n.endswith(".tmp")]
 
 
 class TestApiBasics:
@@ -179,6 +211,36 @@ class TestFabricLifecycle:
             harness.client.resume(job["id"])
             done = harness.client.wait(job["id"], timeout=120.0)
             assert done["status"] == "done"
+
+    def test_cancel_after_last_barrier_is_honoured(
+        self, harness, monkeypatch, uninterrupted_sha
+    ):
+        """A cancel accepted while the job is running but after its last
+        barrier poll still cancels (with a checkpoint of the finished
+        systems), and resuming replays them to the uninterrupted payload."""
+        real_run = daemon_module.run_resumable
+        cancelled = []
+
+        def finish_then_cancel(*args, **kwargs):
+            outcome = real_run(*args, **kwargs)
+            if not cancelled:
+                (running,) = [
+                    j["id"]
+                    for j in harness.daemon.list_jobs()
+                    if j["status"] == "running"
+                ]
+                cancelled.append(harness.daemon.checkpoint(running, cancel=True))
+            return outcome
+
+        monkeypatch.setattr(daemon_module, "run_resumable", finish_then_cancel)
+        job = harness.client.submit_fabric(RUN_CONFIG, PARAMS)
+        final = harness.client.wait(job["id"])
+        assert final["status"] == "cancelled"
+        assert final["checkpoint_sha256"]
+        harness.client.resume(job["id"])
+        done = harness.client.wait(job["id"], timeout=120.0)
+        assert done["status"] == "done"
+        assert done["payload_sha256"] == uninterrupted_sha
 
     def test_dead_job_without_checkpoint_fails_on_recovery(self, tmp_path):
         state_dir = tmp_path / "state"

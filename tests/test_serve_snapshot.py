@@ -221,6 +221,21 @@ class TestShardRoundTrip:
         blob_b = json.dumps([baseline.step(r) for r in _RATES[5:]], sort_keys=True)
         assert blob_a == blob_b
 
+    def test_restored_director_caches_the_restored_threshold(self):
+        """The director's cached bucket capacity follows the restored
+        ``Fwd_Th``, not the threshold the fresh shard was built with."""
+        shard = RackShard(_spec())
+        for r in _RATES[:4]:
+            shard.step(r)
+        fresh = RackShard(_spec())
+        built = [m.director.fwd_threshold_gbps for m in fresh.cluster.members]
+        restore_shard(fresh, shard_state(shard))
+        restored = [m.director for m in fresh.cluster.members]
+        assert [d.fwd_threshold_gbps for d in restored] != built
+        for director, source in zip(restored, shard.cluster.members):
+            assert director.fwd_threshold_gbps == source.director.fwd_threshold_gbps
+            assert director._bucket_bits == director._bucket_capacity_bits()
+
     def test_spec_mismatch_rejected(self):
         shard = RackShard(_spec())
         shard.step(10.0)
