@@ -181,12 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shard-jobs", type=int, default=None, metavar="K",
-        help="fabric mode: worker processes sharding ONE fabric simulation, "
-        "one rack per worker (default 1 = in-process; results are "
-        "byte-identical at any K). Distinct from --jobs, which fans out "
-        "INDEPENDENT runs — combining them multiplies process counts "
-        "(--jobs N x --shard-jobs K workers), so the CLI refuses "
-        "combinations that exceed the machine's cores",
+        help="fabric mode: processes sharding ONE fabric simulation, the "
+        "parent being one; racks split contiguously across them (default "
+        "1 = in-process; results are byte-identical at any K). Distinct "
+        "from --jobs, which fans out INDEPENDENT runs — combining them "
+        "multiplies process counts (--jobs N x --shard-jobs K), so the CLI "
+        "refuses combinations that exceed the machine's cores",
     )
     parser.add_argument(
         "--hours", type=float, default=None, metavar="H",

@@ -283,7 +283,7 @@ def run_fabric(
     pause: Optional[Callable[[int], bool]] = None,
     resume: Optional[Dict[str, Any]] = None,
 ) -> FabricResult:
-    """Run one fabric simulation, sharded over ``shard_jobs`` workers.
+    """Run one fabric simulation, sharded over ``shard_jobs`` processes.
 
     The result payload carries no wall-clock state; timing lives on the
     runner (``runner.step_wall_s``), which callers may pass in to read

@@ -109,8 +109,10 @@ class ResultCache:
             dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
         )
         try:
+            # one dumps call runs the C encoder; json.dump streams
+            # through the pure-Python one (same bytes, ~2x the CPU)
             with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh)
+                fh.write(json.dumps(entry))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -15,7 +15,8 @@ interrupted ``artifact`` batch resume mid-experiment.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional
+import time
+from typing import Any, Dict, Optional, Tuple
 
 from repro.exp.server import run_at_rate, run_trace
 from repro.obs.log import get_logger
@@ -91,3 +92,13 @@ def execute_job(spec: JobSpec, cache_dir: Optional[str] = None) -> Dict[str, Any
     inner = Runner(jobs=1, cache=ResultCache(cache_dir) if cache_dir else None)
     with use_runner(inner):
         return _compute(spec)
+
+
+def timed_execute_job(
+    spec: JobSpec, cache_dir: Optional[str] = None
+) -> Tuple[Dict[str, Any], float]:
+    """:func:`execute_job` plus the seconds it ran, measured where it
+    ran — a pool job's queue wait is not part of its ``wall_s``."""
+    started = time.perf_counter()
+    payload = execute_job(spec, cache_dir)
+    return payload, time.perf_counter() - started

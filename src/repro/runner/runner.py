@@ -17,6 +17,7 @@ failures in their report instead.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import traceback
@@ -24,12 +25,33 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.net.traffic import META_TRACES
 from repro.obs.log import get_logger
 from repro.runner.cache import ResultCache
-from repro.runner.executor import decode_payload, execute_job
+from repro.runner.executor import decode_payload, execute_job, timed_execute_job
 from repro.runner.spec import JobSpec
 
 log = get_logger("runner")
+
+
+def expected_cost(spec: JobSpec) -> float:
+    """Offered wire bits a job simulates: the pool's longest-first key.
+
+    Offered Gbps (the constant rate, or the trace's average) times the
+    ``servers`` it feeds times the simulated duration; ``experiment``
+    jobs, which fan out whole grids, rank above every single run.
+    """
+    if spec.op == "experiment":
+        return math.inf
+    if spec.op == "at_rate":
+        gbps = spec.rate_gbps or 0.0
+    else:
+        # an unknown trace fails in its own job, where the runner
+        # records the failure; it must not abort the whole batch here
+        trace = META_TRACES.get(spec.trace or "")
+        gbps = trace.average_gbps if trace is not None else 0.0
+    servers = dict(spec.params).get("servers", 1)
+    return gbps * servers * spec.config.duration_s
 
 
 class RunnerError(RuntimeError):
@@ -46,6 +68,8 @@ class JobOutcome:
 
     spec: JobSpec
     payload: Optional[Dict[str, Any]] = None
+    #: seconds the job ran: every attempt in-process; in a pool, the
+    #: successful attempt as timed inside its worker (queue wait excluded)
     wall_s: float = 0.0
     cached: bool = False
     attempts: int = 0
@@ -119,7 +143,7 @@ class Runner:
 
     def run(self, specs: Sequence[JobSpec], strict: bool = True) -> BatchReport:
         """Execute a batch; outcomes are ordered like ``specs``."""
-        started = time.time()
+        started = time.perf_counter()
         report = BatchReport(outcomes=[JobOutcome(spec=s) for s in specs])
         self._done, self._total = 0, len(specs)
 
@@ -138,7 +162,7 @@ class Runner:
         else:
             self._run_pool(report, specs, pending)
 
-        report.wall_s = time.time() - started
+        report.wall_s = time.perf_counter() - started
         if self.cache is not None:
             # persisted next to the entries so `repro cache` can report
             # the last run's hit rate after the process is gone
@@ -173,7 +197,7 @@ class Runner:
     ) -> None:
         for index in pending:
             outcome = report.outcomes[index]
-            started = time.time()
+            started = time.perf_counter()
             for attempt in range(self.retries + 1):
                 outcome.attempts = attempt + 1
                 try:
@@ -182,7 +206,7 @@ class Runner:
                     break
                 except Exception:
                     outcome.error = traceback.format_exc()
-            outcome.wall_s = time.time() - started
+            outcome.wall_s = time.perf_counter() - started
             self._store(outcome)
             self._note(outcome)
 
@@ -190,26 +214,32 @@ class Runner:
         self, report: BatchReport, specs: Sequence[JobSpec], pending: List[int]
     ) -> None:
         workers = min(self.jobs, len(pending))
+        # longest expected job first, so no worker idles at the tail
+        # while the last-submitted long job runs alone; outcomes keep
+        # their spec order regardless
+        order = sorted(pending, key=lambda i: expected_cost(specs[i]), reverse=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             submitted = {}
-            for index in pending:
-                future = pool.submit(execute_job, specs[index], self._cache_dir)
+            for index in order:
+                future = pool.submit(timed_execute_job, specs[index], self._cache_dir)
                 report.outcomes[index].attempts = 1
-                submitted[future] = (index, time.time())
+                submitted[future] = index
             while submitted:
                 done, _ = wait(submitted, return_when=FIRST_COMPLETED)
                 for future in done:
-                    index, started = submitted.pop(future)
+                    index = submitted.pop(future)
                     outcome = report.outcomes[index]
-                    outcome.wall_s += time.time() - started
                     error = future.exception()
                     if error is None:
-                        outcome.payload, outcome.error = future.result(), None
+                        outcome.payload, outcome.wall_s = future.result()
+                        outcome.error = None
                     elif outcome.attempts <= self.retries:
                         # retry in a fresh worker slot
-                        retry = pool.submit(execute_job, specs[index], self._cache_dir)
+                        retry = pool.submit(
+                            timed_execute_job, specs[index], self._cache_dir
+                        )
                         outcome.attempts += 1
-                        submitted[retry] = (index, time.time())
+                        submitted[retry] = index
                         continue
                     else:
                         outcome.error = "".join(

@@ -1,4 +1,4 @@
-"""Sharded execution: one long-lived worker process per simulation shard.
+"""Sharded execution: shard blocks stepped by the parent and long-lived workers.
 
 The :class:`~repro.runner.runner.Runner` fans out *independent* jobs —
 each worker runs one job start-to-finish and the pool never talks back
@@ -9,19 +9,20 @@ workers must stay alive across thousands of round trips.
 :class:`ShardedRunner` implements that shape as a conservative
 time-stepped protocol over ``multiprocessing.Pipe``:
 
-* construction partitions the shard specs contiguously across K worker
-  processes (preserving shard order) and each worker builds its shards
-  from a module-level factory resolved by dotted path (picklable under
-  both fork and spawn start methods);
-* :meth:`step` scatters one input per shard to the workers, lets every
-  worker advance its shards to the barrier concurrently, and gathers the
+* construction partitions the shard specs contiguously into K blocks
+  (preserving shard order); the parent process drives block 0 itself
+  and forks K-1 workers, one per remaining block, each building its
+  shards from a module-level factory resolved by dotted path
+  (picklable under both fork and spawn start methods);
+* :meth:`step` scatters one input per shard to the workers, advances
+  the parent's own block while they advance theirs, and gathers the
   per-shard summaries back in shard order;
 * :meth:`finish` drains the shards and collects their final payloads.
 
-``jobs=1`` skips processes entirely and drives the same shard objects
-in-process — because each shard's evolution depends only on (its spec,
-the inputs pushed to it) and the caller consumes outputs in shard order,
-results are byte-identical at every worker count.
+``jobs=1`` is the same code with zero workers.  Because each shard's
+evolution depends only on (its spec, the inputs pushed to it) and the
+caller consumes outputs in shard order, results are byte-identical at
+every worker count.
 
 Wall-clock accounting (``step_wall_s``) lives here, in the runner layer,
 so the simulation payloads themselves stay free of wall-clock reads.
@@ -31,8 +32,10 @@ stderr (K workers interleave mid-line, and under spawn the stream may not
 even be inherited).  Each worker diverts its :mod:`repro.obs.log` records
 into a buffer (:func:`repro.obs.log.set_capture`) and ships the drained
 buffer with every protocol reply; the parent replays them through its own
-logger, tagged ``worker=<index> shards=<start>:<stop>``.  Replies are
-``(status, payload, logs)`` triples.
+logger, tagged ``worker=<block index> shards=<start>:<stop>``.  Block
+0's records are emitted by the parent directly, untagged.  Requests are
+``(op, inputs, func_path)`` and replies ``(status, payload, logs)``
+triples.
 """
 
 from __future__ import annotations
@@ -68,6 +71,27 @@ def resolve_factory(path: str) -> Callable[[Any], Any]:
     return factory
 
 
+def _run_op(
+    shards: Sequence[Any],
+    op: str,
+    inputs: Optional[Sequence[Any]],
+    func_path: Optional[str],
+) -> List[Any]:
+    """Run one protocol op over a block of shards, in shard order."""
+    if op == "describe":
+        return [shard.describe() for shard in shards]
+    assert inputs is not None
+    if op == "step":
+        return [s.step(x) for s, x in zip(shards, inputs)]
+    if op == "finish":
+        return [s.finish(x) for s, x in zip(shards, inputs)]
+    if op == "apply":
+        assert func_path is not None
+        func = resolve_factory(func_path)
+        return [func(s, x) for s, x in zip(shards, inputs)]
+    raise ValueError(f"unknown op {op!r}")
+
+
 def _shard_worker(conn: Any, factory_path: str, specs: Sequence[Any]) -> None:
     """Worker loop: build this block's shards, answer barrier requests.
 
@@ -98,23 +122,11 @@ def _shard_worker(conn: Any, factory_path: str, specs: Sequence[Any]) -> None:
         return
     try:
         while True:
-            op, payload = conn.recv()
+            op, inputs, func_path = conn.recv()
             if op == "close":
                 break
             try:
-                if op == "describe":
-                    reply: Any = [shard.describe() for shard in shards]
-                elif op == "step":
-                    reply = [s.step(x) for s, x in zip(shards, payload)]
-                elif op == "finish":
-                    reply = [s.finish(x) for s, x in zip(shards, payload)]
-                elif op == "apply":
-                    func_path, items = payload
-                    func = resolve_factory(func_path)
-                    reply = [func(s, x) for s, x in zip(shards, items)]
-                else:
-                    conn.send(("error", f"unknown op {op!r}", drain()))
-                    continue
+                reply = _run_op(shards, op, inputs, func_path)
                 conn.send(("ok", reply, drain()))
             except Exception:
                 conn.send(("error", traceback.format_exc(), drain()))
@@ -139,8 +151,9 @@ def _partition(count: int, blocks: int) -> List[Tuple[int, int]]:
 class ShardedRunner:
     """Drive N shard objects through barrier-synchronized epochs.
 
-    ``jobs`` worker processes (clamped to ``len(specs)``); ``jobs=1``
-    builds and drives the shards in-process with no fork at all.
+    ``jobs`` blocks (clamped to ``len(specs)``): the parent drives block
+    0 and ``jobs - 1`` worker processes drive the rest, so ``jobs=1``
+    builds and drives every shard in-process with no fork at all.
     """
 
     def __init__(
@@ -160,27 +173,36 @@ class ShardedRunner:
         self._shards: List[Any] = []
         self._workers: List[mp.process.BaseProcess] = []
         self._conns: List[Any] = []
-        self._blocks: List[Tuple[int, int]] = []
-        if self.jobs == 1:
-            self._shards = [resolve_factory(factory)(s) for s in self.specs]
-            return
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         self._blocks = _partition(len(self.specs), self.jobs)
-        for start, stop in self._blocks:
-            parent_conn, child_conn = ctx.Pipe()
-            worker = ctx.Process(
-                target=_shard_worker,
-                args=(child_conn, factory, self.specs[start:stop]),
-                daemon=True,
+        if self.jobs > 1:
+            methods = mp.get_all_start_methods()
+            ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+            for start, stop in self._blocks[1:]:
+                parent_conn, child_conn = ctx.Pipe()
+                worker = ctx.Process(
+                    target=_shard_worker,
+                    args=(child_conn, factory, self.specs[start:stop]),
+                    daemon=True,
+                )
+                worker.start()
+                child_conn.close()
+                self._workers.append(worker)
+                self._conns.append(parent_conn)
+            log.debug(
+                "sharded_workers_started", jobs=self.jobs, shards=len(self.specs)
             )
-            worker.start()
-            child_conn.close()
-            self._workers.append(worker)
-            self._conns.append(parent_conn)
-        log.debug(
-            "sharded_workers_started", jobs=self.jobs, shards=len(self.specs)
-        )
+        # built after the fork, so no worker inherits the parent's shards
+        start, stop = self._blocks[0]
+        try:
+            build = resolve_factory(factory)
+            self._shards = [build(spec) for spec in self.specs[start:stop]]
+        except Exception as exc:
+            if not self._workers:
+                raise
+            self.close()
+            raise ShardWorkerError(
+                f"shard block 0 failed to build:\n{traceback.format_exc()}"
+            ) from exc
 
     # -- protocol ops ----------------------------------------------------
 
@@ -192,52 +214,55 @@ class ShardedRunner:
     ) -> List[Any]:
         if self._closed:
             raise ShardWorkerError("runner already closed")
-        if self.jobs == 1:
-            if op == "describe":
-                return [shard.describe() for shard in self._shards]
-            assert inputs is not None
-            if op == "step":
-                return [s.step(x) for s, x in zip(self._shards, inputs)]
-            if op == "apply":
-                assert func_path is not None
-                func = resolve_factory(func_path)
-                return [func(s, x) for s, x in zip(self._shards, inputs)]
-            return [s.finish(x) for s, x in zip(self._shards, inputs)]
-        # scatter to every worker first so the blocks advance concurrently
-        for conn, (start, stop) in zip(self._conns, self._blocks):
-            payload = None if inputs is None else list(inputs[start:stop])
-            if op == "apply":
-                payload = (func_path, payload)
+        # scatter to every worker first so all blocks advance concurrently
+        for conn, (start, stop) in zip(self._conns, self._blocks[1:]):
+            block = None if inputs is None else list(inputs[start:stop])
             try:
-                conn.send((op, payload))
+                conn.send((op, block, func_path))
             except (BrokenPipeError, OSError) as exc:
                 raise self._worker_died(exc)
-        results: List[Any] = []
-        for index, conn in enumerate(self._conns):
+        start, stop = self._blocks[0]
+        failure: Optional[str] = None
+        try:
+            results = _run_op(
+                self._shards,
+                op,
+                None if inputs is None else inputs[start:stop],
+                func_path,
+            )
+        except Exception:
+            if not self._workers:
+                raise
+            # the workers are mid-op: collect their replies before closing
+            failure = traceback.format_exc()
+            results = []
+        for block, conn in enumerate(self._conns, start=1):
             try:
-                message = conn.recv()
+                status, payload, logs = conn.recv()
             except (EOFError, OSError) as exc:
                 raise self._worker_died(exc)
-            status, payload, logs = message
-            self._replay_logs(index, logs)
+            self._replay_logs(block, logs)
             if status != "ok":
-                self.close()
-                raise ShardWorkerError(f"shard worker failed:\n{payload}")
-            results.extend(payload)
+                failure = failure or payload
+            else:
+                results.extend(payload)
+        if failure is not None:
+            self.close()
+            raise ShardWorkerError(f"shard worker failed:\n{failure}")
         return results
 
-    def _replay_logs(self, worker_index: int, records: Sequence[LogRecord]) -> None:
+    def _replay_logs(self, block: int, records: Sequence[LogRecord]) -> None:
         """Re-emit a worker's captured records on the parent's stream,
-        tagged with the worker's identity and shard block."""
+        tagged with the worker's block index and shard range."""
         if not records:
             return
-        start, stop = self._blocks[worker_index]
+        start, stop = self._blocks[block]
         for name, level, event, fields in records:
             get_logger(name).emit_at(
                 level,
                 event,
                 **fields,
-                worker=worker_index,
+                worker=block,
                 shards=f"{start}:{stop}",
             )
 
@@ -305,7 +330,7 @@ class ShardedRunner:
         self._closed = True
         for conn in self._conns:
             try:
-                conn.send(("close", None))
+                conn.send(("close", None, None))
             except (BrokenPipeError, OSError):
                 pass
             conn.close()

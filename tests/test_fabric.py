@@ -3,6 +3,7 @@ plane, the sharded runner protocol, and the worker-count-independence
 guarantee (byte-identical payloads at any ``--shard-jobs``)."""
 
 import json
+import multiprocessing as mp
 
 import pytest
 
@@ -54,6 +55,8 @@ class DummyShard:
 
 
 def build_dummy_shard(spec):
+    if spec == "unbuildable":
+        raise ValueError("unbuildable shard spec")
     return DummyShard(spec)
 
 
@@ -287,6 +290,44 @@ class TestShardedRunner:
             with pytest.raises(ShardWorkerError, match="boom"):
                 runner.step(["boom", 1.0])
 
+    def test_parent_drives_block_zero_and_forks_the_rest(self):
+        specs = list(range(5))
+        for jobs in (1, 2, 3):
+            before = set(mp.active_children())
+            with ShardedRunner(specs, DUMMY_FACTORY, jobs=jobs) as runner:
+                started = set(mp.active_children()) - before
+                assert len(started) == jobs - 1
+                assert runner.jobs == jobs
+                # the parent holds block 0's shards and only those
+                start, stop = _partition(len(specs), jobs)[0]
+                assert [s.spec for s in runner._shards] == specs[start:stop]
+            assert not any(worker.is_alive() for worker in started)
+
+    @pytest.mark.parametrize("failing", [0, 3], ids=["block0-parent", "block1-worker"])
+    def test_block_failure_raises_and_leaves_no_live_worker(self, failing):
+        runner = ShardedRunner([1, 2, 3, 4], DUMMY_FACTORY, jobs=2)
+        workers = list(runner._workers)
+        assert len(workers) == 1
+        inputs = [1.0] * 4
+        inputs[failing] = "boom"
+        with pytest.raises(ShardWorkerError, match="boom"):
+            runner.step(inputs)
+        assert not any(worker.is_alive() for worker in workers)
+        with pytest.raises(ShardWorkerError, match="closed"):
+            runner.step([1.0] * 4)
+
+    def test_block_zero_build_failure_closes_workers(self):
+        before = set(mp.active_children())
+        with pytest.raises(ShardWorkerError, match="unbuildable"):
+            ShardedRunner(["unbuildable", 2, 3], DUMMY_FACTORY, jobs=2)
+        assert not set(mp.active_children()) - before
+
+    def test_in_process_exception_propagates_raw(self):
+        with ShardedRunner([1, 2], DUMMY_FACTORY, jobs=1) as runner:
+            with pytest.raises(RuntimeError, match="boom") as err:
+                runner.step([1.0, "boom"])
+            assert not isinstance(err.value, ShardWorkerError)
+
     def test_step_after_close_raises(self):
         runner = ShardedRunner([1], DUMMY_FACTORY, jobs=1)
         runner.close()
@@ -382,6 +423,24 @@ class TestFabricDeterminism:
 
 
 class TestFabricSystem:
+    def test_uneven_blocks_are_byte_identical(self):
+        """3 racks: K=2 splits them 2+1 (parent + one worker) and K=3
+        runs one rack in the parent and one in each of two workers."""
+        config = FabricConfig(
+            racks=3, servers=2, duration_s=0.1, epoch_s=0.02,
+            flow_interval_s=1e-3, seed=2024,
+        )
+        blobs = {
+            jobs: json.dumps(
+                run_fabric(config, shard_jobs=jobs).to_dict(),
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            for jobs in (1, 2, 3)
+        }
+        assert blobs[2] == blobs[1]
+        assert blobs[3] == blobs[1]
+
     def test_run_fabric_round_trips_and_aggregates(self):
         config = FabricConfig(
             racks=2, servers=2, duration_s=0.1, epoch_s=0.02,

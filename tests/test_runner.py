@@ -345,3 +345,86 @@ class TestCacheMaintenance:
         assert cache.stats()["stale_entries"] == 0
         assert not (tmp_path / "0123456789abcdef").exists()  # dir pruned
         assert cache.stats()["entries"] == len(RATES)  # live tier kept
+
+
+class TestPoolOrdering:
+    """The pool submits longest-expected-first; outcomes stay in spec
+    order and payloads match an in-process run."""
+
+    def test_expected_cost_ranks_by_offered_bits(self):
+        from repro.runner.runner import expected_cost
+
+        cells = [
+            JobSpec.for_trace("hal", "nat", "web", FAST),
+            JobSpec.rack("hal", "nat", "cache", FAST, servers=4),
+            JobSpec.at_rate("host", "rem", 5.0, FAST),
+            JobSpec.experiment("fig4", FAST),
+            JobSpec.rack("hal", "nat", "hadoop", FAST, servers=4),
+            JobSpec.for_trace("snic", "nat", "hadoop", FAST),
+        ]
+        ranked = sorted(cells, key=expected_cost, reverse=True)
+        assert [spec.label() for spec in ranked] == [
+            "experiment:fig4",
+            "rack:hal/nat@hadoop servers=4",
+            "rack:hal/nat@cache servers=4",
+            "trace:snic/nat@hadoop",
+            "run:host/rem@5Gbps",
+            "trace:hal/nat@web",
+        ]
+        # offered Gbps x servers x simulated seconds
+        assert expected_cost(cells[4]) == pytest.approx(10.9 * 4 * 0.02)
+        assert expected_cost(JobSpec.for_trace("hal", "nat", "nosuch", FAST)) == 0.0
+
+    def test_pool_submits_longest_first_with_identical_payloads(self, monkeypatch):
+        from repro.runner import runner as runner_mod
+
+        specs = [
+            JobSpec.at_rate("host", "rem", 5.0, FAST),
+            JobSpec.at_rate("host", "rem", 20.0, FAST),
+            JobSpec.at_rate("snic", "nat", 10.0, FAST),
+            JobSpec.at_rate("host", "nat", 10.0, FAST),  # ties keep spec order
+        ]
+        submitted = []
+        real = runner_mod.ProcessPoolExecutor
+
+        class SpyPool(real):
+            def submit(self, fn, spec, *args, **kwargs):
+                submitted.append(spec)
+                return super().submit(fn, spec, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", SpyPool)
+        pooled = Runner(jobs=2).run(specs)
+        assert submitted == [specs[1], specs[2], specs[3], specs[0]]
+        assert [o.spec for o in pooled.outcomes] == specs
+        serial = Runner(jobs=1).run(specs)
+        assert [o.payload for o in pooled.outcomes] == [
+            o.payload for o in serial.outcomes
+        ]
+
+    def test_pool_wall_s_excludes_queue_wait(self, monkeypatch):
+        """Four 0.25 s jobs on two workers: the second pair waits ~0.25 s
+        in the queue, which must not show in their ``wall_s``."""
+        import time
+
+        def slow_job(spec, cache_dir=None):
+            time.sleep(0.25)
+            return {"kind": "metrics", "data": {}}
+
+        # forked pool workers inherit the patched module attribute
+        monkeypatch.setattr(executor, "execute_job", slow_job)
+        report = Runner(jobs=2, retries=0).run(sweep_specs(rates=[1, 2, 3, 4]))
+        walls = [outcome.wall_s for outcome in report.outcomes]
+        assert all(0.25 <= wall < 0.45 for wall in walls), walls
+        assert report.wall_s >= 0.5
+
+
+class TestCacheWrite:
+    def test_entry_file_is_one_dumps_call(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        spec = sweep_specs()[0]
+        payload = {"kind": "metrics", "data": {"x": [1.5, None, "é"], "y": 2}}
+        cache.put(spec, payload)
+        entry = {"spec": spec.canonical(), "payload": payload}
+        with open(cache.path_for(spec)) as fh:
+            assert fh.read() == json.dumps(entry)
+        assert cache.get(spec) == payload

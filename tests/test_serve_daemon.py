@@ -199,18 +199,37 @@ class TestFabricLifecycle:
         finally:
             h.stop()
 
-    def test_cancel_mid_run(self, harness):
+    def test_cancel_mid_run(self, harness, monkeypatch):
+        """The job is held at its epoch-1 barrier until the cancel is
+        accepted, so it cannot finish between ``status`` and ``cancel``."""
+        real_run = daemon_module.run_resumable
+        at_barrier = threading.Event()
+        release = threading.Event()
+
+        def run_held_at_barrier(*args, should_pause, **kwargs):
+            def hold_then_poll(system, epoch):
+                if epoch >= 1 and not release.is_set():
+                    at_barrier.set()
+                    release.wait(timeout=60.0)
+                return should_pause(system, epoch)
+
+            return real_run(*args, should_pause=hold_then_poll, **kwargs)
+
+        monkeypatch.setattr(daemon_module, "run_resumable", run_held_at_barrier)
         job = harness.client.submit_fabric(RUN_CONFIG, PARAMS)
-        wait_for_progress(harness.client, job["id"], epoch=1)
-        status = harness.client.status(job["id"])
-        if status["status"] == "running":
-            cancelled = harness.client.cancel(job["id"])
-            final = harness.client.wait(job["id"])
-            assert final["status"] == "cancelled"
-            # a cancelled job checkpointed on the way out is resumable
-            harness.client.resume(job["id"])
-            done = harness.client.wait(job["id"], timeout=120.0)
-            assert done["status"] == "done"
+        try:
+            assert at_barrier.wait(timeout=60.0)
+            status = harness.client.status(job["id"])
+            assert status["status"] == "running"
+            harness.client.cancel(job["id"])
+        finally:
+            release.set()
+        final = harness.client.wait(job["id"])
+        assert final["status"] == "cancelled"
+        # a cancelled job checkpointed on the way out is resumable
+        harness.client.resume(job["id"])
+        done = harness.client.wait(job["id"], timeout=120.0)
+        assert done["status"] == "done"
 
     def test_cancel_after_last_barrier_is_honoured(
         self, harness, monkeypatch, uninterrupted_sha
